@@ -2,23 +2,22 @@
 //
 // The local-kernel engine (kernels.cpp) tiles every dense kernel down to
 // kMR x kNR accumulator tiles fed from packed panels (pack.hpp) and calls
-// one micro-kernel in the innermost position. Two implementations of that
-// micro-kernel can exist in the binary:
+// one micro-kernel in the innermost position. ukernel.cpp compiles up to
+// three implementations of it into every build, each under its own
+// per-function target attribute, so no translation unit needs -march flags:
 //
-//   * generic — compiled with the project's baseline flags; portable.
-//   * native  — the same C++ body compiled in its own translation unit with
-//     -march=native (CMake option PARSYRK_NATIVE=ON), so the autovectorizer
-//     emits the widest FMA the build machine supports.
+//   * avx512  — 8 zmm accumulator rows, target("avx512f");
+//   * avx2    — two 4x8 passes in ymm registers, target("avx2,fma");
+//   * generic — the portable body under the baseline ISA.
 //
-// Selection happens once, at first use: the native kernel is chosen only if
-// it was compiled in AND the running CPU reports (via CPUID) every ISA
-// feature the native TU was compiled to assume — a binary built on an
-// AVX-512 box therefore still runs (on the generic path) on an SSE2 box.
-// PARSYRK_UKERNEL=generic|native in the environment overrides the choice
-// (used by tests to cross-check both paths bit-for-bit... numerically).
+// The intrinsic kernels exist on x86 only. Selection happens once per
+// process from __builtin_cpu_supports: the widest kernel the running CPU
+// can execute becomes active_ukernel(), so the same binary runs AVX-512 on
+// an AVX-512 host and the generic body on a baseline x86-64 host.
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 namespace parsyrk::kern {
 
@@ -39,14 +38,14 @@ using MicroKernelFn = void (*)(std::size_t kc, const double* a,
 
 struct Ukernel {
   MicroKernelFn fn;
-  const char* name;  // "generic" or "native"
+  const char* name;  // "avx512", "avx2" or "generic"
 };
 
-/// The micro-kernel selected for this process (resolved once, thread-safe).
-const Ukernel& active_ukernel();
+/// Every micro-kernel in this binary that the running CPU can execute,
+/// widest first; "generic" is always present and always last.
+std::span<const Ukernel> supported_ukernels();
 
-/// True when the binary contains the -march=native translation unit AND the
-/// running CPU supports it (regardless of any PARSYRK_UKERNEL override).
-bool native_ukernel_available();
+/// The micro-kernel the engine uses: supported_ukernels().front().
+const Ukernel& active_ukernel();
 
 }  // namespace parsyrk::kern

@@ -14,38 +14,34 @@ void ServiceTimeline::add(const TimelineInterval& interval) {
   PARSYRK_REQUIRE(interval.end_seconds >= interval.start_seconds,
                   "timeline interval ends before it starts");
   ranks_ = std::max(ranks_, interval.rank_end);
-  intervals_.push_back(interval);
-}
-
-double ServiceTimeline::horizon_seconds() const {
-  double h = 0.0;
-  for (const TimelineInterval& iv : intervals_) {
-    h = std::max(h, iv.end_seconds);
+  const auto lanes = static_cast<std::size_t>(interval.rank_end);
+  if (busy_.size() < lanes) {
+    busy_.resize(lanes, 0.0);
+    first_.resize(lanes, -1.0);
   }
-  return h;
+  for (int r = interval.rank_begin; r < interval.rank_end; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    busy_[i] += interval.end_seconds - interval.start_seconds;
+    first_[i] = first_[i] < 0.0 ? interval.start_seconds
+                                : std::min(first_[i], interval.start_seconds);
+  }
+  horizon_ = std::max(horizon_, interval.end_seconds);
+  intervals_.push_back(interval);
+  if (intervals_.size() > kWindow) intervals_.pop_front();
 }
 
 double ServiceTimeline::busy_seconds(int rank) const {
-  double busy = 0.0;
-  for (const TimelineInterval& iv : intervals_) {
-    if (rank >= iv.rank_begin && rank < iv.rank_end) {
-      busy += iv.end_seconds - iv.start_seconds;
-    }
-  }
-  return busy;
+  if (rank < 0 || static_cast<std::size_t>(rank) >= busy_.size()) return 0.0;
+  return busy_[static_cast<std::size_t>(rank)];
 }
 
 double ServiceTimeline::idle_seconds(int rank) const {
   // Idle counts from the rank's first dispatch (before that it was never
   // needed) to the timeline horizon (after which nothing is scheduled).
-  double first = -1.0;
-  for (const TimelineInterval& iv : intervals_) {
-    if (rank >= iv.rank_begin && rank < iv.rank_end) {
-      first = first < 0.0 ? iv.start_seconds : std::min(first, iv.start_seconds);
-    }
-  }
+  if (rank < 0 || static_cast<std::size_t>(rank) >= first_.size()) return 0.0;
+  const double first = first_[static_cast<std::size_t>(rank)];
   if (first < 0.0) return 0.0;
-  return std::max(0.0, horizon_seconds() - first - busy_seconds(rank));
+  return std::max(0.0, horizon_ - first - busy_seconds(rank));
 }
 
 double ServiceTimeline::total_idle_seconds() const {

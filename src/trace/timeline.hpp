@@ -10,9 +10,15 @@
 // work-conservation gap (the wall-clock counterpart of
 // ServiceStats::scheduler_gap_seconds), and a chrome://tracing export with
 // one lane ("thread") per rank so interleaving is visible in a viewer.
+//
+// A service runs indefinitely, so the timeline keeps per-rank running sums
+// (busy seconds, first dispatch, horizon) that stay exact over the whole
+// history, but retains only the most recent kWindow intervals themselves.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -31,10 +37,14 @@ struct TimelineInterval {
   bool operator==(const TimelineInterval&) const = default;
 };
 
-/// Append-only record of every job the service dispatched, queryable per
-/// rank. Not thread-safe; the service copies it out under its own lock.
+/// Record of the jobs the service dispatched, queryable per rank: exact
+/// aggregates over every interval ever added, plus the most recent kWindow
+/// intervals. Not thread-safe; the service copies it out under its own lock.
 class ServiceTimeline {
  public:
+  /// Intervals retained for intervals() and to_chrome_json().
+  static constexpr std::size_t kWindow = 4096;
+
   explicit ServiceTimeline(int ranks = 0) : ranks_(ranks) {}
 
   int ranks() const { return ranks_; }
@@ -44,10 +54,11 @@ class ServiceTimeline {
   /// per-rank occupancy is non-overlapping and start-ordered.
   void add(const TimelineInterval& interval);
 
-  const std::vector<TimelineInterval>& intervals() const { return intervals_; }
+  /// The most recent (at most kWindow) intervals, oldest first.
+  const std::deque<TimelineInterval>& intervals() const { return intervals_; }
 
   /// Latest end_seconds over all intervals (0 when empty).
-  double horizon_seconds() const;
+  double horizon_seconds() const { return horizon_; }
 
   /// Seconds `rank` spent inside job intervals.
   double busy_seconds(int rank) const;
@@ -62,12 +73,16 @@ class ServiceTimeline {
   double total_idle_seconds() const;
 
   /// chrome://tracing Trace Event Format: one complete ("X") event per
-  /// (job, rank) with tid = rank, so each rank renders as a busy/idle lane.
+  /// (job, rank) of the retained window, with tid = rank, so each rank
+  /// renders as a busy/idle lane.
   std::string to_chrome_json() const;
 
  private:
   int ranks_ = 0;
-  std::vector<TimelineInterval> intervals_;
+  std::deque<TimelineInterval> intervals_;
+  double horizon_ = 0.0;
+  std::vector<double> busy_;   // per rank, over every interval
+  std::vector<double> first_;  // per rank earliest start; < 0 = never run
 };
 
 }  // namespace parsyrk::trace

@@ -1,11 +1,16 @@
 // Packed micro-kernel engine tests: every engine kernel against its naive
 // oracle over adversarial shapes (empty, single row, one lane short of /
 // past a micro-tile, non-tile-multiples, strided views), strict-upper
-// preservation for the triangular kernels, generic-vs-native dispatch
-// agreement, and the arena reuse guarantees the worker pool relies on.
+// preservation for the triangular kernels, every compiled-in micro-kernel
+// against a naive tile, and the arena reuse guarantees the worker pool
+// relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "matrix/arena.hpp"
@@ -16,6 +21,11 @@
 #include "simmpi/worker_pool.hpp"
 
 namespace parsyrk {
+namespace kern {
+// Names parametrised test cases by kernel instead of by pointer bytes.
+void PrintTo(const Ukernel& uk, std::ostream* os) { *os << uk.name; }
+}  // namespace kern
+
 namespace {
 
 using kern::kMR;
@@ -164,33 +174,91 @@ TEST(PackedSymmLowerLeft, NeverReadsStrictUpperOfS) {
   EXPECT_LT(max_abs_diff(got.view(), want.view()), kTol);
 }
 
-TEST(Ukernel, GenericAgreesWithActive) {
-  // When native dispatch is live this cross-checks two ISA paths; in a
-  // baseline build both sides are the same function and the test is a no-op
-  // guard.
-  const std::size_t kc = 57;
-  std::vector<double> a(kMR * kc), b(kNR * kc);
-  Rng rng(99);
-  for (auto& v : a) v = rng.uniform(-1, 1);
-  for (auto& v : b) v = rng.uniform(-1, 1);
-  alignas(kMatrixAlignment) double got[kMR * kNR] = {};
-  kern::active_ukernel().fn(kc, a.data(), b.data(), got);
+/// Naive reference for one micro-tile: acc0 + Apanel · Bpanelᵀ, plus the
+/// magnitude sum |acc0| + Σ|a·b| per entry that scales the rounding bound.
+void naive_tile(std::size_t kc, const std::vector<double>& a,
+                const std::vector<double>& b, const double* acc0,
+                double* want, double* scale) {
   for (std::size_t i = 0; i < kMR; ++i) {
     for (std::size_t j = 0; j < kNR; ++j) {
-      double want = 0.0;
+      double sum = acc0[i * kNR + j];
+      double mag = std::abs(sum);
       for (std::size_t k = 0; k < kc; ++k) {
-        want += a[k * kMR + i] * b[k * kNR + j];
+        sum += a[k * kMR + i] * b[k * kNR + j];
+        mag += std::abs(a[k * kMR + i] * b[k * kNR + j]);
       }
-      ASSERT_NEAR(got[i * kNR + j], want, 1e-12) << i << "," << j;
+      want[i * kNR + j] = sum;
+      scale[i * kNR + j] = mag;
     }
   }
 }
 
-TEST(Ukernel, EnvOverrideSelectsGeneric) {
-  // The override is resolved once per process, so all this can assert here
-  // is the plumbing: the active kernel has a name and a function.
-  EXPECT_NE(kern::active_ukernel().fn, nullptr);
-  EXPECT_NE(kern::active_ukernel().name, nullptr);
+std::vector<double> random_panel(std::size_t n, std::uint64_t seed) {
+  std::vector<double> v(n);
+  Rng rng(seed);
+  for (auto& x : v) x = rng.uniform(-1, 1);
+  return v;
+}
+
+// Every kernel compiled in and executable here, not only the active one:
+// the engine only ever calls the front of the list, so the others would
+// otherwise go untested on a wide host.
+class EveryUkernel : public ::testing::TestWithParam<kern::Ukernel> {};
+
+TEST_P(EveryUkernel, MatchesNaiveOnRandomPanels) {
+  for (bool accumulate : {false, true}) {
+    for (std::size_t kc : {0, 1, 7, 256, 300}) {
+      const auto a = random_panel(kMR * kc, 99 + kc);
+      const auto b = random_panel(kNR * kc, 199 + kc);
+      // Non-zero starting tiles are what SYR2K's chained products see.
+      std::vector<double> acc0(kMR * kNR, 0.0);
+      if (accumulate) acc0 = random_panel(kMR * kNR, 7 + kc);
+      alignas(kMatrixAlignment) double got[kMR * kNR];
+      std::copy(acc0.begin(), acc0.end(), got);
+      GetParam().fn(kc, a.data(), b.data(), got);
+      double want[kMR * kNR], scale[kMR * kNR];
+      naive_tile(kc, a, b, acc0.data(), want, scale);
+      for (std::size_t e = 0; e < kMR * kNR; ++e) {
+        ASSERT_LE(std::abs(got[e] - want[e]), 1e-12 * scale[e])
+            << GetParam().name << " kc=" << kc << " accumulate=" << accumulate
+            << " entry " << e;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Supported, EveryUkernel, ::testing::ValuesIn(kern::supported_ukernels()),
+    [](const ::testing::TestParamInfo<kern::Ukernel>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(Ukernel, GenericAgreesWithActive) {
+  // On an ISA-dispatched host this cross-checks the intrinsic kernel against
+  // the portable body; on a baseline host both sides are the same function.
+  const std::size_t kc = 57;
+  const auto a = random_panel(kMR * kc, 99);
+  const auto b = random_panel(kNR * kc, 98);
+  alignas(kMatrixAlignment) double got[kMR * kNR] = {};
+  alignas(kMatrixAlignment) double ref[kMR * kNR] = {};
+  kern::active_ukernel().fn(kc, a.data(), b.data(), got);
+  kern::supported_ukernels().back().fn(kc, a.data(), b.data(), ref);
+  for (std::size_t e = 0; e < kMR * kNR; ++e) {
+    ASSERT_NEAR(got[e], ref[e], 1e-12) << "entry " << e;
+  }
+}
+
+TEST(Ukernel, ActiveIsWidestSupported) {
+  const auto list = kern::supported_ukernels();
+  ASSERT_FALSE(list.empty());
+  EXPECT_EQ(&kern::active_ukernel(), &list.front());
+  EXPECT_STREQ(list.back().name, "generic");
+#if defined(__x86_64__) || defined(__i386__)
+  // Guards the default build against silently falling back to generic.
+  if (__builtin_cpu_supports("avx512f")) {
+    EXPECT_STREQ(kern::active_ukernel().name, "avx512");
+  }
+#endif
 }
 
 TEST(PackBytes, CountsPanelTraffic) {

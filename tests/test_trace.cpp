@@ -1,9 +1,10 @@
 // Unit tests for the per-message trace layer: event recording (kinds,
 // phases, ordinals), ledger/trace consistency, zero-cost-when-off, ring
-// overflow accounting, and both exporters (Chrome tracing JSON, binary
-// golden format).
+// overflow accounting, both exporters (Chrome tracing JSON, binary golden
+// format), and the service timeline's bounded window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstddef>
 #include <string>
@@ -17,6 +18,7 @@
 #include "simmpi/worker_pool.hpp"
 #include "support/check.hpp"
 #include "trace/export.hpp"
+#include "trace/timeline.hpp"
 
 namespace parsyrk {
 namespace {
@@ -389,6 +391,56 @@ TEST(Trace, EnableTracingIsIdempotent) {
   EXPECT_EQ(world.trace_sink(), sink);
   world.disable_tracing();
   EXPECT_FALSE(world.tracing());
+}
+
+TEST(ServiceTimeline, AggregatesStayExactBeyondTheWindow) {
+  // A long-running service adds far more intervals than the timeline keeps:
+  // the per-rank aggregates must still cover every one of them.
+  constexpr int kRanks = 6;
+  const std::size_t count = trace::ServiceTimeline::kWindow + 1000;
+  trace::ServiceTimeline tl(kRanks);
+  std::vector<trace::TimelineInterval> all;
+  Rng rng(2024);
+  double clock = 0.0;
+  for (std::size_t j = 0; j < count; ++j) {
+    trace::TimelineInterval iv;
+    iv.job_id = j + 1;
+    iv.rank_begin = static_cast<int>(rng.uniform_int(0, kRanks - 1));
+    iv.rank_end = static_cast<int>(rng.uniform_int(iv.rank_begin + 1, kRanks));
+    clock += rng.uniform(0, 1e-3);
+    iv.start_seconds = clock;
+    iv.end_seconds = clock + rng.uniform(0, 5e-3);
+    tl.add(iv);
+    all.push_back(iv);
+  }
+
+  ASSERT_EQ(tl.intervals().size(), trace::ServiceTimeline::kWindow);
+  EXPECT_EQ(tl.intervals().front(), all[count - tl.intervals().size()]);
+  EXPECT_EQ(tl.intervals().back(), all.back());
+  const std::string json = tl.to_chrome_json();
+  EXPECT_EQ(json.find("\"job 1\""), std::string::npos);
+  EXPECT_NE(json.find("\"job " + std::to_string(count) + "\""),
+            std::string::npos);
+
+  // Brute force over the full history, summed in the same order.
+  double horizon = 0.0;
+  for (const auto& iv : all) horizon = std::max(horizon, iv.end_seconds);
+  EXPECT_DOUBLE_EQ(tl.horizon_seconds(), horizon);
+  double total_idle = 0.0;
+  for (int r = 0; r < kRanks; ++r) {
+    double busy = 0.0, first = -1.0;
+    for (const auto& iv : all) {
+      if (r < iv.rank_begin || r >= iv.rank_end) continue;
+      busy += iv.end_seconds - iv.start_seconds;
+      first = first < 0.0 ? iv.start_seconds : std::min(first, iv.start_seconds);
+    }
+    const double idle =
+        first < 0.0 ? 0.0 : std::max(0.0, horizon - first - busy);
+    EXPECT_DOUBLE_EQ(tl.busy_seconds(r), busy) << "rank " << r;
+    EXPECT_DOUBLE_EQ(tl.idle_seconds(r), idle) << "rank " << r;
+    total_idle += idle;
+  }
+  EXPECT_DOUBLE_EQ(tl.total_idle_seconds(), total_idle);
 }
 
 }  // namespace

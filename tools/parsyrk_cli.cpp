@@ -143,14 +143,13 @@ int run_serve(int procs, int jobs, std::uint64_t seed, bool audit,
     std::uint64_t n1, n2, cap;
   };
   // Small jobs at caps that pack several to a round, plus a full-size job
-  // every few requests that must run solo.
-  const std::vector<ShapeSpec> mix = {
-      {16, 64, 2},
-      {24, 96, 3},
-      {32, 64, 4},
-      {48, 96, 6},
-      {64, 128, static_cast<std::uint64_t>(procs)},
+  // every few requests that must run solo. Caps are clamped to the world so
+  // small services (--procs 4) run the same mix.
+  const auto world = static_cast<std::uint64_t>(procs);
+  std::vector<ShapeSpec> mix = {
+      {16, 64, 2}, {24, 96, 3}, {32, 64, 4}, {48, 96, 6}, {64, 128, world},
   };
+  for (ShapeSpec& s : mix) s.cap = std::min(s.cap, world);
   service::ServiceOptions opts;
   opts.procs = procs;
   opts.scheduler = sched;
@@ -239,8 +238,11 @@ int run_serve(int procs, int jobs, std::uint64_t seed, bool audit,
   }
   t.print(std::cout);
   std::cout << "max |C - AAᵀ| over all requests = " << max_err << "\n";
-  const bool ok =
-      max_err < 1e-8 && order_ok && audit_violations == 0 && batched > 0;
+  // The service must pack the first two classes side by side whenever the
+  // world can hold both; a smaller world runs every job alone.
+  const bool packable = mix[0].cap + mix[1].cap <= world;
+  const bool ok = max_err < 1e-8 && order_ok && audit_violations == 0 &&
+                  (batched > 0 || !packable);
   return ok ? EXIT_SUCCESS : EXIT_FAILURE;
 }
 
