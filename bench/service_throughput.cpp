@@ -1,7 +1,6 @@
 // Service throughput snapshot: replays a mixed small/medium SYRK workload
-// through service::SyrkService twice — serialized (batching off: one job
-// per scheduled round) and batched (the scheduler packs queued jobs onto
-// disjoint rank subsets of one round) — and reports requests/sec, p50/p99
+// through service::SyrkService and, as the baseline, through a serial loop
+// of core::syrk calls on a plain Session, then reports requests/sec, p50/p99
 // latency (modeled and measured), and the plan cache's hit/miss counters
 // against the number of enumerator runs. Emits the machine-readable
 // snapshot committed as BENCH_SERVICE.json.
@@ -11,29 +10,31 @@
 //       --out).
 //
 //   service_throughput --smoke [--factor F] [--straggler-factor G]
-//       cheap perf gate for ctest: asserts batched throughput beats the
-//       serialized baseline by at least F (default 1.3) on the
-//       dispatch-dominated workload, that the streaming scheduler beats
-//       the round-barrier executor by at least G (default 1.15) on the
-//       straggler mix below, AND that every batched/streamed job's result
-//       matrix and ledger counters are bitwise-identical to the same
-//       request run solo. Exits nonzero otherwise.
+//       cheap perf gate for ctest: asserts the service beats the serial
+//       loop by at least F (default 1.3) on the dispatch-dominated
+//       workload and by at least G (default 4.2) on the straggler mix
+//       below, AND that every service job's result matrix and ledger
+//       counters are bitwise-identical to the serial loop's run of the same
+//       request. Exits nonzero otherwise.
+//
+// The serial loop is the knob-free baseline: the same requests, one by one,
+// through core::syrk on a session with the service's plan options. It is
+// also the bitwise reference, so each gate's denominator is timed on the
+// very runs the equivalence check compares against (best of 3, loop only).
 //
 // The straggler mix is the scenario the streaming scheduler exists for:
 // one large pipelined 3D job submitted ahead of many small 1D jobs. The
-// round-barrier executor packs a couple of smalls beside the straggler,
-// then barriers the whole round on it — every later small waits for the
-// 3D job even though 4 ranks sat idle the entire time. The streaming
-// executor keeps cycling smalls through the leftover ranks while the
-// straggler runs (mid-round interleaving on nonblocking range handles),
-// so its makespan approaches the straggler's own runtime.
+// scheduler keeps cycling smalls through the ranks the straggler leaves
+// free (interleaving on nonblocking range handles), so its makespan
+// approaches the straggler's own runtime, while the serial loop pays for
+// every job back to back.
 //
-// Why batching wins even on this simulated runtime: every scheduled round
-// pays one condition-variable dispatch handoff to the session's parked
-// worker threads. Serialized, k jobs pay k handoffs; batched, jobs that
-// fit side by side share one. The jobs themselves are tiny, so the
-// handoff dominates — the same regime a real service is in when flooded
-// with small requests.
+// Why the service wins even on this simulated runtime: every core::syrk
+// call pays one condition-variable dispatch handoff to the session's parked
+// worker threads and idles the ranks its plan does not use. The service
+// overlaps jobs on disjoint rank subsets, so their handoffs and compute
+// overlap too. The jobs themselves are tiny, so the handoff dominates —
+// the same regime a real service is in when flooded with small requests.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -60,7 +61,7 @@ struct Shape {
 
 /// The replayed mixed workload: distinct shapes × rank caps chosen so the
 /// planner (folding disabled) yields unfolded 1D plans at 2/3/4/6 ranks —
-/// jobs that pack 2–6 to a 12-rank round.
+/// jobs that fit 2–6 side by side on 12 ranks.
 std::vector<Shape> workload_shapes() {
   return {
       {16, 64, 2}, {24, 96, 3}, {32, 64, 4},
@@ -68,13 +69,12 @@ std::vector<Shape> workload_shapes() {
   };
 }
 
-service::ServiceOptions service_options(int procs, bool batching) {
+service::ServiceOptions service_options(int procs) {
   service::ServiceOptions opts;
   opts.procs = procs;
-  opts.batching = batching;
-  // Folded plans cannot share a round; keep the whole workload packable.
+  // Folded plans run solo; keep the whole workload packable.
   opts.plan_options.allow_folding = false;
-  // Generous round budget: let rank capacity, not modeled cost, limit
+  // Generous in-flight budget: let rank capacity, not modeled cost, limit
   // packing (the workload's jobs are communication-tiny).
   opts.admission.modeled_seconds_per_round = 10.0;
   opts.admission.max_jobs_per_round = 16;
@@ -92,7 +92,7 @@ bool bitwise_equal(const Matrix& x, const Matrix& y) {
   return true;
 }
 
-struct ModeResult {
+struct ServiceRun {
   double seconds = 0.0;
   std::vector<service::SyrkResult> results;
   service::ServiceStats stats;
@@ -100,11 +100,10 @@ struct ModeResult {
 
 /// Submits the whole workload asynchronously, waits for every ticket, and
 /// returns wall time + per-request results.
-ModeResult run_mode(const std::vector<Shape>& shapes,
-                    const std::vector<Matrix>& inputs, int procs,
-                    bool batching) {
-  service::SyrkService svc(service_options(procs, batching));
-  ModeResult out;
+ServiceRun run_service(const std::vector<Shape>& shapes,
+                       const std::vector<Matrix>& inputs, int procs) {
+  service::SyrkService svc(service_options(procs));
+  ServiceRun out;
   const auto t0 = Clock::now();
   std::vector<service::SyrkTicket> tickets;
   tickets.reserve(inputs.size());
@@ -128,34 +127,44 @@ double percentile(std::vector<double> v, double q) {
   return v[std::min(idx, v.size() - 1)];
 }
 
-std::vector<double> totals(const ModeResult& m) {
+std::vector<double> totals(const ServiceRun& m) {
   std::vector<double> v;
   v.reserve(m.results.size());
   for (const auto& r : m.results) v.push_back(r.latency.total_seconds);
   return v;
 }
 
-/// Solo references: every request executed alone on a plain session with
-/// the same plan options. Batched results must match these bitwise.
-std::vector<core::SyrkRun> solo_references(const std::vector<Shape>& shapes,
-                                           const std::vector<Matrix>& inputs,
-                                           int procs) {
-  core::Session session(procs);
-  core::PlanSearchOptions plan_options;
-  plan_options.allow_folding = false;
-  session.set_plan_options(plan_options);
+/// The serial baseline: `n` requests run one by one through core::syrk on a
+/// plain session with the service's plan options. Best of 3 by wall time of
+/// the request loop (session construction excluded, as the service runs
+/// exclude service construction); its runs are the bitwise references.
+struct SerialRun {
+  double seconds = 1e30;
   std::vector<core::SyrkRun> refs;
-  refs.reserve(inputs.size());
-  for (std::size_t j = 0; j < inputs.size(); ++j) {
-    const Shape& s = shapes[j % shapes.size()];
-    refs.push_back(
-        core::syrk(session, core::SyrkRequest(inputs[j]).on_procs(s.cap)));
+};
+
+template <class MakeRequest>
+SerialRun serial_loop(int procs, std::size_t n, MakeRequest make_request) {
+  SerialRun best;
+  for (int rep = 0; rep < 3; ++rep) {
+    core::Session session(procs);
+    core::PlanSearchOptions plan_options;
+    plan_options.allow_folding = false;
+    session.set_plan_options(plan_options);
+    SerialRun run;
+    run.refs.reserve(n);
+    const auto t0 = Clock::now();
+    for (std::size_t j = 0; j < n; ++j) {
+      run.refs.push_back(core::syrk(session, make_request(j)));
+    }
+    run.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    if (run.seconds < best.seconds) best = std::move(run);
   }
-  return refs;
+  return best;
 }
 
 /// Counts batched-vs-solo mismatches (result bits or ledger counters).
-int equivalence_failures(const ModeResult& batched,
+int equivalence_failures(const ServiceRun& batched,
                          const std::vector<core::SyrkRun>& refs) {
   int failures = 0;
   for (std::size_t j = 0; j < batched.results.size(); ++j) {
@@ -238,13 +247,10 @@ core::SyrkRequest straggler_request(const StragglerMix& mix,
   return core::SyrkRequest(inputs[j]).use_1d(2);
 }
 
-ModeResult run_straggler_mix(const StragglerMix& mix,
-                             const std::vector<Matrix>& inputs,
-                             service::SchedMode mode) {
-  auto opts = service_options(mix.procs, /*batching=*/true);
-  opts.scheduler = mode;
-  service::SyrkService svc(opts);
-  ModeResult out;
+ServiceRun run_straggler_mix(const StragglerMix& mix,
+                             const std::vector<Matrix>& inputs) {
+  service::SyrkService svc(service_options(mix.procs));
+  ServiceRun out;
   const auto t0 = Clock::now();
   std::vector<service::SyrkTicket> tickets;
   tickets.reserve(inputs.size());
@@ -258,20 +264,6 @@ ModeResult run_straggler_mix(const StragglerMix& mix,
   return out;
 }
 
-std::vector<core::SyrkRun> straggler_references(
-    const StragglerMix& mix, const std::vector<Matrix>& inputs) {
-  core::Session session(mix.procs);
-  core::PlanSearchOptions plan_options;
-  plan_options.allow_folding = false;
-  session.set_plan_options(plan_options);
-  std::vector<core::SyrkRun> refs;
-  refs.reserve(inputs.size());
-  for (std::size_t j = 0; j < inputs.size(); ++j) {
-    refs.push_back(core::syrk(session, straggler_request(mix, inputs, j)));
-  }
-  return refs;
-}
-
 int run_bench(int jobs, int procs, const std::string& out_path, bool smoke,
               double factor, double straggler_factor) {
   const auto shapes = workload_shapes();
@@ -283,57 +275,52 @@ int run_bench(int jobs, int procs, const std::string& out_path, bool smoke,
         random_matrix(s.n1, s.n2, 900 + static_cast<std::uint64_t>(j)));
   }
 
-  // Warm the shared pool once so neither mode pays thread creation.
-  run_mode(shapes, inputs, procs, /*batching=*/false);
+  // Warm the shared pool once so no timed run pays thread creation.
+  run_service(shapes, inputs, procs);
 
-  // Best-of-3 per mode: the workload is dispatch-dominated, so a single
+  // Best-of-3: the workload is dispatch-dominated, so a single
   // descheduling blip would otherwise dominate the ratio.
-  ModeResult serialized, batched;
-  double best_serial = 1e30, best_batched = 1e30;
+  ServiceRun batched;
+  double best_batched = 1e30;
   for (int rep = 0; rep < 3; ++rep) {
-    auto s = run_mode(shapes, inputs, procs, /*batching=*/false);
-    if (s.seconds < best_serial) {
-      best_serial = s.seconds;
-      serialized = std::move(s);
-    }
-    auto b = run_mode(shapes, inputs, procs, /*batching=*/true);
+    auto b = run_service(shapes, inputs, procs);
     if (b.seconds < best_batched) {
       best_batched = b.seconds;
       batched = std::move(b);
     }
   }
+  const SerialRun serial = serial_loop(
+      procs, inputs.size(), [&](std::size_t j) {
+        return core::SyrkRequest(inputs[j]).on_procs(
+            shapes[j % shapes.size()].cap);
+      });
+  const int eq_failures = equivalence_failures(batched, serial.refs);
 
-  const auto refs = solo_references(shapes, inputs, procs);
-  const int eq_failures = equivalence_failures(batched, refs);
-
-  // Straggler mix: round-barrier vs streaming makespan, best-of-3 each.
+  // Straggler mix: streaming makespan vs the serial loop, best-of-3 each.
   const StragglerMix mix;
   const auto mix_inputs = straggler_inputs(mix);
-  run_straggler_mix(mix, mix_inputs, service::SchedMode::kRounds);  // warm
-  ModeResult mix_rounds, mix_stream;
-  double best_rounds = 1e30, best_stream = 1e30;
+  run_straggler_mix(mix, mix_inputs);  // warm
+  ServiceRun mix_stream;
+  double best_stream = 1e30;
   for (int rep = 0; rep < 3; ++rep) {
-    auto r = run_straggler_mix(mix, mix_inputs, service::SchedMode::kRounds);
-    if (r.seconds < best_rounds) {
-      best_rounds = r.seconds;
-      mix_rounds = std::move(r);
-    }
-    auto s = run_straggler_mix(mix, mix_inputs,
-                               service::SchedMode::kStreaming);
+    auto s = run_straggler_mix(mix, mix_inputs);
     if (s.seconds < best_stream) {
       best_stream = s.seconds;
       mix_stream = std::move(s);
     }
   }
-  const double mix_speedup = mix_rounds.seconds / mix_stream.seconds;
-  const auto mix_refs = straggler_references(mix, mix_inputs);
-  const int mix_eq_failures = equivalence_failures(mix_stream, mix_refs) +
-                              equivalence_failures(mix_rounds, mix_refs);
+  const SerialRun mix_serial =
+      serial_loop(mix.procs, mix_inputs.size(), [&](std::size_t j) {
+        return straggler_request(mix, mix_inputs, j);
+      });
+  const double mix_speedup = mix_serial.seconds / mix_stream.seconds;
+  const int mix_eq_failures =
+      equivalence_failures(mix_stream, mix_serial.refs);
 
   const double n = static_cast<double>(jobs);
-  const double rps_serial = n / serialized.seconds;
+  const double rps_serial = n / serial.seconds;
   const double rps_batched = n / batched.seconds;
-  const double speedup = serialized.seconds / batched.seconds;
+  const double speedup = serial.seconds / batched.seconds;
   // Timed on the workload's largest rank cap — the widest candidate
   // lattice, i.e. the most representative enumeration cost a hit skips.
   const auto cache_timing = measure_cache_timing(shapes[3]);
@@ -346,14 +333,13 @@ int run_bench(int jobs, int procs, const std::string& out_path, bool smoke,
 
   std::cout << "service throughput (" << jobs << " requests, " << procs
             << "-rank service):\n"
-            << "  serialized: " << serialized.seconds * 1e3 << " ms ("
-            << rps_serial << " req/s, " << serialized.stats.rounds
-            << " rounds)\n"
-            << "  batched:    " << batched.seconds * 1e3 << " ms ("
-            << rps_batched << " req/s, " << batched.stats.rounds
-            << " rounds, " << batched.stats.batched_rounds
-            << " carrying >= 2 jobs)\n"
-            << "  speedup:    " << speedup << "x\n"
+            << "  serial loop: " << serial.seconds * 1e3 << " ms ("
+            << rps_serial << " req/s)\n"
+            << "  service:     " << batched.seconds * 1e3 << " ms ("
+            << rps_batched << " req/s, " << batched.stats.dispatches
+            << " dispatches, " << batched.stats.interleaved_jobs
+            << " interleaved)\n"
+            << "  speedup:     " << speedup << "x\n"
             << "  plan cache: " << batched.stats.plan_cache.hits << " hits, "
             << batched.stats.plan_cache.misses
             << " misses (enumerator runs) for " << shapes.size()
@@ -364,8 +350,7 @@ int run_bench(int jobs, int procs, const std::string& out_path, bool smoke,
             << "\n"
             << "straggler mix (1 pipelined 3D straggler + " << mix.smalls
             << " small 1D jobs, " << mix.procs << "-rank service):\n"
-            << "  round-barrier: " << mix_rounds.seconds * 1e3 << " ms ("
-            << mix_rounds.stats.rounds << " rounds)\n"
+            << "  serial loop:   " << mix_serial.seconds * 1e3 << " ms\n"
             << "  streaming:     " << mix_stream.seconds * 1e3 << " ms ("
             << mix_stream.stats.interleaved_jobs << " interleaved jobs, gap "
             << mix_stream.stats.scheduler_gap_seconds * 1e3 << " rank-ms)\n"
@@ -389,13 +374,13 @@ int run_bench(int jobs, int procs, const std::string& out_path, bool smoke,
   }
   if (smoke) {
     if (speedup < factor) {
-      std::cerr << "FAIL: batched speedup " << speedup << "x < " << factor
-                << "x\n";
+      std::cerr << "FAIL: service speedup over the serial loop " << speedup
+                << "x < " << factor << "x\n";
       ok = false;
     }
     if (mix_speedup < straggler_factor) {
-      std::cerr << "FAIL: straggler-mix streaming speedup " << mix_speedup
-                << "x < " << straggler_factor << "x\n";
+      std::cerr << "FAIL: straggler-mix speedup over the serial loop "
+                << mix_speedup << "x < " << straggler_factor << "x\n";
       ok = false;
     }
     std::cout << (ok ? "OK\n" : "") << std::flush;
@@ -407,20 +392,17 @@ int run_bench(int jobs, int procs, const std::string& out_path, bool smoke,
   os << "  \"workload\": {\"requests\": " << jobs
      << ", \"distinct_shapes\": " << shapes.size()
      << ", \"service_ranks\": " << procs << "},\n";
-  os << "  \"serialized\": {\"seconds\": " << serialized.seconds
-     << ", \"requests_per_sec\": " << rps_serial
-     << ", \"rounds\": " << serialized.stats.rounds << "},\n";
+  os << "  \"serial_loop\": {\"seconds\": " << serial.seconds
+     << ", \"requests_per_sec\": " << rps_serial << "},\n";
   os << "  \"batched\": {\"seconds\": " << batched.seconds
      << ", \"requests_per_sec\": " << rps_batched
-     << ", \"rounds\": " << batched.stats.rounds
-     << ", \"batched_rounds\": " << batched.stats.batched_rounds
+     << ", \"dispatches\": " << batched.stats.dispatches
+     << ", \"interleaved_jobs\": " << batched.stats.interleaved_jobs
      << ", \"batched_jobs\": " << batched.stats.batched_jobs << "},\n";
   os << "  \"speedup\": " << speedup << ",\n";
   os << "  \"latency_seconds\": {\"modeled_p50\": "
      << percentile(modeled, 0.50)
      << ", \"modeled_p99\": " << percentile(modeled, 0.99)
-     << ", \"serialized_total_p50\": " << percentile(totals(serialized), 0.50)
-     << ", \"serialized_total_p99\": " << percentile(totals(serialized), 0.99)
      << ", \"batched_total_p50\": " << percentile(totals(batched), 0.50)
      << ", \"batched_total_p99\": " << percentile(totals(batched), 0.99)
      << "},\n";
@@ -432,10 +414,9 @@ int run_bench(int jobs, int procs, const std::string& out_path, bool smoke,
      << ",\n";
   os << "  \"straggler_mix\": {\"smalls\": " << mix.smalls
      << ", \"service_ranks\": " << mix.procs
-     << ", \"rounds_seconds\": " << mix_rounds.seconds
-     << ", \"rounds_count\": " << mix_rounds.stats.rounds
+     << ", \"serial_loop_seconds\": " << mix_serial.seconds
      << ", \"streaming_seconds\": " << mix_stream.seconds
-     << ", \"streaming_dispatches\": " << mix_stream.stats.rounds
+     << ", \"streaming_dispatches\": " << mix_stream.stats.dispatches
      << ", \"interleaved_jobs\": " << mix_stream.stats.interleaved_jobs
      << ", \"scheduler_gap_seconds\": "
      << mix_stream.stats.scheduler_gap_seconds
@@ -466,7 +447,7 @@ int main(int argc, char** argv) {
   int procs = 12;
   bool smoke = false;
   double factor = 1.3;
-  double straggler_factor = 1.15;
+  double straggler_factor = 4.2;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {

@@ -158,10 +158,10 @@ class CostLedger {
   CostSummary summary_since(const Snapshot& since,
                             const std::string& phase) const;
 
-  // ---- Rank-range accounting (batched-round support) ----
+  // ---- Rank-range accounting (shared-world service jobs) ----
   //
-  // When several jobs share one world job on disjoint rank ranges (the
-  // service layer's batched rounds), each job's traffic lives entirely in
+  // When several jobs share one world on disjoint rank ranges (the service
+  // layer's streamed jobs), each job's traffic lives entirely in
   // its range [rank_begin, rank_end). The range variants restrict the sum
   // and the per-bucket max to that range while keeping CostSummary::ranks
   // at the world's processor count — so a job placed at any base rank

@@ -122,10 +122,10 @@ struct JobTrace {
 /// round trace: events recorded by ranks inside the range, with rank and
 /// peer rebased by -rank_begin and the canonical phase table rebuilt from
 /// the phases the extracted events actually use. When the range hosted one
-/// job of a batched round (disjoint-range jobs never message across range
-/// boundaries), the result is bitwise identical — job_id aside — to the
-/// trace of the same job run solo on a world of the same size, which is
-/// what lets batched rounds keep the golden-trace guarantees per job.
+/// service job beside others (disjoint-range jobs never message across
+/// range boundaries), the result is bitwise identical — job_id aside — to
+/// the trace of the same job run solo on a world of the same size, which
+/// is what lets streamed service jobs keep the golden-trace guarantees.
 JobTrace extract_rank_range(const JobTrace& round, int rank_begin,
                             int rank_end);
 

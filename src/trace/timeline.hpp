@@ -27,7 +27,7 @@ namespace parsyrk::trace {
 /// One job's occupancy of its rank subset, in seconds since the timeline's
 /// epoch (the service's construction).
 struct TimelineInterval {
-  std::uint64_t job_id = 0;  // World::jobs_run() id of the dispatched job
+  std::uint64_t job_id = 0;  // the service job's completion_seq
   int rank_begin = 0;
   int rank_end = 0;
   double start_seconds = 0.0;
@@ -50,8 +50,8 @@ class ServiceTimeline {
   int ranks() const { return ranks_; }
   void set_ranks(int ranks) { ranks_ = ranks; }
 
-  /// Records one dispatched job. Intervals arrive in dispatch order, so
-  /// per-rank occupancy is non-overlapping and start-ordered.
+  /// Records one finished job. Intervals arrive in completion order; per
+  /// rank they never overlap.
   void add(const TimelineInterval& interval);
 
   /// The most recent (at most kWindow) intervals, oldest first.

@@ -39,6 +39,11 @@ struct PipelineConfig {
   void (*select)(core::SyrkRequest&);
 };
 
+// Prints the config by name. Without it gtest dumps the struct's raw bytes,
+// which include the load address of `name`, so the discovered test names
+// would change from build to build.
+void PrintTo(const PipelineConfig& cfg, std::ostream* os) { *os << cfg.name; }
+
 const PipelineConfig kConfigs[] = {
     {"trace_1d", 6, 24, 48, 11,
      [](core::SyrkRequest& r) { r.use_1d(); }},

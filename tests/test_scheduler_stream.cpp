@@ -1,9 +1,8 @@
 // Streaming (work-conserving) scheduler tests: plan_stream_step's pure
-// dispatch policy, the streaming_makespan list-scheduling bound, and the
-// SyrkService streaming executor end-to-end — bitwise solo equivalence of
-// results/ledgers/traces under interleaved completion, poisoned-job
-// recovery mid-stream, pipelined 3D jobs with chunked gathers, bound
-// audits, and the per-rank timeline observability.
+// dispatch policy and the SyrkService streaming executor end-to-end —
+// bitwise solo equivalence of results/ledgers/traces under interleaved
+// completion, poisoned-job recovery mid-stream, pipelined 3D jobs with
+// chunked gathers, bound audits, and the per-rank timeline observability.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -88,7 +87,7 @@ TEST(PlanStreamStep, HeadExemptionOnlyOnIdleWorld) {
   const std::vector<service::RankInterval> free = {{0, 12}};
   const std::vector<service::JobSpec> q = {spec(4, 1.0), spec(2, 1e-12)};
   // Idle world: the over-budget head is exempt AND does not consume the
-  // follower budget — both jobs dispatch (plan_round's no-starvation rule).
+  // follower budget — both jobs dispatch (the no-starvation rule).
   const auto idle = service::plan_stream_step(q, free, 0.0, 0, limits);
   ASSERT_EQ(idle.size(), 2u);
   EXPECT_EQ(idle[1].base_rank, 4);
@@ -107,52 +106,12 @@ TEST(PlanStreamStep, SoloJobsStopTheStream) {
   EXPECT_EQ(service::plan_stream_step(q2, free, 0.0, 0, {}).size(), 1u);
 }
 
-// ---- streaming_makespan: the list-scheduling cost bound ----
-
-TEST(StreamingMakespan, StragglerMixBeatsRoundBarrier) {
-  // One 6-rank straggler plus six 2-rank quickies on 12 ranks. The barrier
-  // executor pays max(1.0) for round 1 and 0.1 for round 2 = 1.1; the
-  // streaming bound hides both quickie waves behind the straggler.
-  std::vector<service::JobSpec> q = {spec(6, 1.0)};
-  for (int i = 0; i < 6; ++i) q.push_back(spec(2, 0.1));
-  const double stream = service::streaming_makespan(q, 12);
-  EXPECT_DOUBLE_EQ(stream, 1.0);
-
-  // The matching barrier makespan, summed over plan_round rounds.
-  service::AdmissionLimits no_budget;
-  no_budget.modeled_seconds_per_round = 1e9;
-  double barrier = 0.0;
-  std::vector<service::JobSpec> rest = q;
-  while (!rest.empty()) {
-    const auto round = service::plan_round(rest, 12, no_budget);
-    barrier += round.modeled_max_seconds;
-    rest.erase(rest.begin(),
-               rest.begin() + static_cast<std::ptrdiff_t>(
-                                  round.placements.size()));
-  }
-  EXPECT_DOUBLE_EQ(barrier, 1.1);
-  EXPECT_LT(stream, barrier);
-}
-
-TEST(StreamingMakespan, SoloJobsQuiesceTheWorld) {
-  // The solo job waits for everything in flight, then occupies all ranks.
-  const std::vector<service::JobSpec> q = {spec(2, 0.5), spec(12, 0.5, true),
-                                           spec(2, 0.5)};
-  EXPECT_DOUBLE_EQ(service::streaming_makespan(q, 12), 1.5);
-}
-
-TEST(StreamingMakespan, EmptyAndSingleJobDegenerate) {
-  EXPECT_DOUBLE_EQ(service::streaming_makespan({}, 12), 0.0);
-  EXPECT_DOUBLE_EQ(service::streaming_makespan({spec(4, 0.25)}, 12), 0.25);
-}
-
 // ---- SyrkService streaming executor end-to-end ----
 
 service::ServiceOptions streaming_options(int procs) {
   service::ServiceOptions opts;
   opts.procs = procs;
   opts.plan_options.allow_folding = false;
-  opts.scheduler = service::SchedMode::kStreaming;
   return opts;
 }
 

@@ -1,7 +1,7 @@
-// Service-layer tests: plan_round packing policy, PlanCache hit/miss and
-// invalidation semantics, and SyrkService end-to-end — ticket lifecycle,
-// FIFO fairness, batch-vs-solo bitwise equivalence, poisoned-round retry,
-// and a multithreaded submitter stress (the tsan preset runs this suite).
+// Service-layer tests: PlanCache hit/miss and invalidation semantics, and
+// SyrkService end-to-end — ticket lifecycle, FIFO dispatch, the one-job
+// serial cap, batch-vs-solo bitwise equivalence, poisoned-world retry, and
+// a multithreaded submitter stress (the tsan preset runs this suite).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,7 +12,6 @@
 #include "matrix/kernels.hpp"
 #include "matrix/random.hpp"
 #include "service/plan_cache.hpp"
-#include "service/scheduler.hpp"
 #include "service/service.hpp"
 #include "support/check.hpp"
 
@@ -28,76 +27,6 @@ bool bitwise_equal(const Matrix& x, const Matrix& y) {
     }
   }
   return true;
-}
-
-service::JobSpec spec(std::uint64_t ranks, double modeled = 1e-6,
-                      bool solo = false) {
-  service::JobSpec s;
-  s.ranks = ranks;
-  s.modeled_seconds = modeled;
-  s.solo = solo;
-  return s;
-}
-
-// ---- plan_round: the pure packing policy ----
-
-TEST(PlanRound, PacksFifoPrefixUntilRanksRunOut) {
-  const std::vector<service::JobSpec> q = {spec(4), spec(4), spec(4),
-                                           spec(6), spec(2)};
-  const auto round = service::plan_round(q, 12, {});
-  // Strict FIFO: job 3 (6 ranks) does not fit after 4+4+4; job 4 would,
-  // but skipping ahead is exactly what the policy forbids.
-  ASSERT_EQ(round.placements.size(), 3u);
-  EXPECT_EQ(round.placements[0].job, 0u);
-  EXPECT_EQ(round.placements[0].base_rank, 0);
-  EXPECT_EQ(round.placements[1].base_rank, 4);
-  EXPECT_EQ(round.placements[2].base_rank, 8);
-}
-
-TEST(PlanRound, HeadIsAlwaysPlacedEvenOverBudget) {
-  service::AdmissionLimits limits;
-  limits.modeled_seconds_per_round = 1e-9;
-  const std::vector<service::JobSpec> q = {spec(4, 1.0), spec(2, 1e-12)};
-  const auto round = service::plan_round(q, 12, limits);
-  // The over-budget head is exempt (it must run eventually and blocking it
-  // forever would deadlock) AND it does not consume the round budget: the
-  // tiny follower fits on the leftover ranks instead of stalling behind it.
-  ASSERT_EQ(round.placements.size(), 2u);
-  EXPECT_EQ(round.placements[0].job, 0u);
-  EXPECT_EQ(round.placements[1].job, 1u);
-  EXPECT_EQ(round.placements[1].base_rank, 4);
-  // modeled_sum_seconds still reports the true in-flight cost.
-  EXPECT_DOUBLE_EQ(round.modeled_sum_seconds, 1.0 + 1e-12);
-
-  // A follower that itself exceeds the budget still breaks the round: the
-  // exemption is for the head only.
-  const std::vector<service::JobSpec> q2 = {spec(4, 1.0), spec(2, 1.0)};
-  ASSERT_EQ(service::plan_round(q2, 12, limits).placements.size(), 1u);
-}
-
-TEST(PlanRound, BudgetStopsPacking) {
-  service::AdmissionLimits limits;
-  limits.modeled_seconds_per_round = 0.05;
-  const std::vector<service::JobSpec> q = {spec(2, 0.03), spec(2, 0.03),
-                                           spec(2, 0.03)};
-  const auto round = service::plan_round(q, 12, limits);
-  EXPECT_EQ(round.placements.size(), 1u);
-  EXPECT_DOUBLE_EQ(round.modeled_sum_seconds, 0.03);
-}
-
-TEST(PlanRound, SoloJobsNeverShareARound) {
-  const std::vector<service::JobSpec> q1 = {spec(2), spec(4, 1e-6, true)};
-  EXPECT_EQ(service::plan_round(q1, 12, {}).placements.size(), 1u);
-  // A solo head runs alone even though the next job would fit.
-  const std::vector<service::JobSpec> q2 = {spec(4, 1e-6, true), spec(2)};
-  EXPECT_EQ(service::plan_round(q2, 12, {}).placements.size(), 1u);
-}
-
-TEST(PlanRound, JobCapBoundsRound) {
-  service::AdmissionLimits limits;
-  limits.max_jobs_per_round = 2;
-  const std::vector<service::JobSpec> q = {spec(2), spec(2), spec(2)};
-  EXPECT_EQ(service::plan_round(q, 12, limits).placements.size(), 2u);
 }
 
 // ---- PlanCache ----
@@ -238,13 +167,12 @@ TEST(SyrkService, ResizeInvalidatesCachedPlans) {
             1e-9);
 }
 
-TEST(SyrkService, CompletionOrderIsFifoAcrossMixedSizes) {
-  // Global completion-order FIFO is a rounds-mode guarantee; the streaming
-  // scheduler keeps dispatch FIFO but lets short jobs finish ahead of
-  // stragglers (test_scheduler_stream covers that mode).
-  auto opts = packable_options(12);
-  opts.scheduler = service::SchedMode::kRounds;
-  service::SyrkService svc(opts);
+TEST(SyrkService, DispatchOrderIsFifoAcrossMixedSizes) {
+  // Streaming keeps dispatch strictly FIFO — a job that does not fit the
+  // free ranks holds back everything behind it — while completions may
+  // overtake. Full-size jobs interleaved with small ones are the case where
+  // a skipping scheduler would dispatch a later job first.
+  service::SyrkService svc(packable_options(12));
   const std::uint64_t caps[] = {2, 12, 3, 6, 4, 2, 12, 3};
   const int jobs = 24;
   std::vector<Matrix> inputs;
@@ -255,11 +183,75 @@ TEST(SyrkService, CompletionOrderIsFifoAcrossMixedSizes) {
     tickets.push_back(svc.submit(
         core::SyrkRequest(inputs.back()).on_procs(caps[j % 8])));
   }
-  // Full-size jobs interleaved with packable ones must not be overtaken:
-  // completion sequence == submission order, ticket by ticket.
+  svc.drain();
+  // drain() returns once the queue is empty, so a ticket still pending
+  // here was dropped by the scheduler (ASSERT: wait() would block forever).
   for (int j = 0; j < jobs; ++j) {
-    EXPECT_EQ(tickets[j].wait().completion_seq,
-              static_cast<std::uint64_t>(j + 1));
+    ASSERT_EQ(tickets[j].status(), service::TicketStatus::kDone) << j;
+  }
+
+  // Each job's timeline interval carries its completion_seq as job_id and
+  // its dispatch time as start_seconds.
+  const auto tl = svc.timeline();
+  std::vector<const trace::TimelineInterval*> by_seq(jobs + 1, nullptr);
+  for (const auto& iv : tl.intervals()) {
+    ASSERT_GE(iv.job_id, 1u);
+    ASSERT_LE(iv.job_id, static_cast<std::uint64_t>(jobs));
+    EXPECT_EQ(by_seq[iv.job_id], nullptr) << "duplicate completion seq";
+    by_seq[iv.job_id] = &iv;
+  }
+  double prev_dispatch = 0.0;
+  for (int j = 0; j < jobs; ++j) {
+    const std::uint64_t seq = tickets[j].wait().completion_seq;
+    ASSERT_GE(seq, 1u);
+    ASSERT_LE(seq, static_cast<std::uint64_t>(jobs));
+    ASSERT_NE(by_seq[seq], nullptr) << "job " << j;
+    EXPECT_GE(by_seq[seq]->start_seconds, prev_dispatch)
+        << "job " << j << " dispatched before job " << j - 1;
+    prev_dispatch = by_seq[seq]->start_seconds;
+  }
+}
+
+TEST(SyrkService, OneJobCapRunsSeriallyAndMatchesPlainSession) {
+  // admission.max_jobs_per_round = 1 is the serial configuration: no job
+  // ever shares the world, and each result is bitwise the plain
+  // core::syrk run of the same request.
+  auto opts = packable_options(12);
+  opts.admission.max_jobs_per_round = 1;
+  service::SyrkService svc(opts);
+  const std::uint64_t caps[] = {2, 12, 3, 6, 4, 2, 12, 3};
+  const int jobs = 16;
+  std::vector<Matrix> inputs;
+  inputs.reserve(jobs);
+  std::vector<service::SyrkTicket> tickets;
+  for (int j = 0; j < jobs; ++j) {
+    inputs.push_back(random_matrix(24, 48, 300 + static_cast<unsigned>(j)));
+    tickets.push_back(svc.submit(
+        core::SyrkRequest(inputs.back()).on_procs(caps[j % 8])));
+  }
+  std::vector<service::SyrkResult> results;
+  for (auto& t : tickets) results.push_back(t.wait());
+  svc.drain();
+  const auto st = svc.stats();
+  EXPECT_EQ(st.completed, static_cast<std::uint64_t>(jobs));
+  EXPECT_EQ(st.interleaved_jobs, 0u);
+  EXPECT_EQ(st.batched_jobs, 0u);
+
+  core::Session plain(12);
+  core::PlanSearchOptions plan_opts;
+  plan_opts.allow_folding = false;
+  plain.set_plan_options(plan_opts);
+  for (int j = 0; j < jobs; ++j) {
+    const auto ref = core::syrk(
+        plain, core::SyrkRequest(inputs[static_cast<std::size_t>(j)])
+                   .on_procs(caps[j % 8]));
+    const auto& res = results[static_cast<std::size_t>(j)];
+    EXPECT_FALSE(res.batched) << "job " << j;
+    EXPECT_TRUE(bitwise_equal(res.run.c, ref.c)) << "job " << j;
+    EXPECT_EQ(res.run.total.total, ref.total.total) << "job " << j;
+    EXPECT_EQ(res.run.total.max, ref.total.max) << "job " << j;
+    EXPECT_EQ(res.run.gather_a.total, ref.gather_a.total) << "job " << j;
+    EXPECT_EQ(res.run.reduce_c.total, ref.reduce_c.total) << "job " << j;
   }
 }
 
@@ -279,7 +271,7 @@ TEST(SyrkService, BatchedJobsMatchSoloRunsBitwise) {
   std::vector<service::SyrkResult> results;
   for (auto& t : tickets) results.push_back(t.wait());
   svc.drain();
-  EXPECT_GE(svc.stats().batched_rounds, 1u);
+  EXPECT_GE(svc.stats().interleaved_jobs, 1u);
 
   // Solo references on an equally sized session with the same options.
   core::Session solo(12);
@@ -293,7 +285,7 @@ TEST(SyrkService, BatchedJobsMatchSoloRunsBitwise) {
     const auto& run = results[j].run;
     any_batched = any_batched || results[j].batched;
     EXPECT_TRUE(bitwise_equal(run.c, ref.c)) << "job " << j;
-    // Per-job ledger scope: rank-range summaries of the shared round equal
+    // Per-job ledger scope: rank-range summaries of the shared world equal
     // the solo run's whole-world summaries, counter for counter.
     EXPECT_EQ(run.total.total, ref.total.total) << "job " << j;
     EXPECT_EQ(run.total.max, ref.total.max) << "job " << j;
@@ -312,7 +304,7 @@ TEST(SyrkService, BatchedJobsMatchSoloRunsBitwise) {
 TEST(SyrkService, PoisonedRoundRetriesInnocentJobsSolo) {
   service::SyrkService svc(packable_options(12));
   // 18 % 2² != 0: the 2D kernel rejects this inside the SPMD body, after
-  // batching decisions are made — the whole round's world job is poisoned.
+  // dispatch decisions are made — every job sharing the world is poisoned.
   Matrix bad_a = random_matrix(18, 8, 5);
   Matrix good_a = random_matrix(24, 48, 6);
   auto bad = svc.submit(core::SyrkRequest(bad_a).use_2d(2));
@@ -325,10 +317,10 @@ TEST(SyrkService, PoisonedRoundRetriesInnocentJobsSolo) {
   svc.drain();
   const auto st = svc.stats();
   EXPECT_EQ(st.failed, 1u);
-  // Both round members were retried solo (where the guilty one failed for
-  // real and the innocent one completed) — unless the scheduler happened to
-  // run them in separate rounds, in which case no retry was needed.
-  if (st.batched_rounds > 0) EXPECT_EQ(st.retried_jobs, 2u);
+  // Both jobs were retried solo (where the guilty one failed for real and
+  // the innocent one completed) — unless the scheduler happened to run them
+  // one after the other, in which case no retry was needed.
+  if (st.interleaved_jobs > 0) EXPECT_EQ(st.retried_jobs, 2u);
 
   // The session world recovered: later jobs run normally.
   const auto again = svc.syrk(core::SyrkRequest(good_a).on_procs(4));
@@ -377,12 +369,12 @@ TEST(SyrkService, MultithreadedSubmittersAllComplete) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined jobs through the service (overlap stress + poisoned rounds)
+// Pipelined jobs through the service (overlap stress + poisoned worlds)
 // ---------------------------------------------------------------------------
 
 TEST(SyrkService, PipelinedJobsOverlapStressMatchesSoloBitwise) {
   // Concurrent submitters flood the service with with_pipeline jobs at
-  // mixed chunk counts; batched rounds execute their chunked collectives
+  // mixed chunk counts; interleaved jobs execute their chunked collectives
   // with overlap. Every result must still be bitwise-identical to the same
   // request run solo, and the ledger scoping must survive the in-flight
   // chunk traffic (the eager-posting attribution rule).
@@ -442,7 +434,7 @@ TEST(SyrkService, PipelinedJobsOverlapStressMatchesSoloBitwise) {
 
 TEST(SyrkService, PoisonedRoundRetriesPipelinedInnocentsBitwise) {
   // The guilty job is itself pipelined: the 2D kernel's n1 % c² rejection
-  // fires inside the SPMD body, after batching — so the round is poisoned
+  // fires inside the SPMD body, after dispatch — so the world is poisoned
   // while the innocent's chunked collectives are (potentially) in flight.
   // Recovery must tear the whole world job down, and the innocent's solo
   // retry must be bitwise-identical to a clean solo run.
@@ -457,10 +449,11 @@ TEST(SyrkService, PoisonedRoundRetriesPipelinedInnocentsBitwise) {
   EXPECT_THROW(bad.wait(), InvalidArgument);
   const auto r1 = g1.wait();
   svc.drain();
-  // With exactly two jobs in flight, a batched round can only have been
-  // the poisoned one — so batching implies both members were retried solo.
+  // With exactly two jobs submitted, an interleaved dispatch can only have
+  // shared the world with the poisoned job — so interleaving implies both
+  // were retried solo.
   const auto st_mid = svc.stats();
-  if (st_mid.batched_rounds > 0) EXPECT_EQ(st_mid.retried_jobs, 2u);
+  if (st_mid.interleaved_jobs > 0) EXPECT_EQ(st_mid.retried_jobs, 2u);
 
   // Post-recovery: a fresh pipelined job runs on the recovered world.
   auto g2 =
@@ -535,7 +528,7 @@ TEST(SyrkService, TopologyParticipatesInPlanCacheKey) {
 
 TEST(SyrkService, TopologyRequestsRunSoloWithNodeAccounting) {
   // A topology'd request stamps its rpn on the shared session world, so it
-  // must never share a round; the result carries the node count and the
+  // must never share the world; the result carries the node count and the
   // per-node inter summary, and batched flat jobs are unaffected.
   service::SyrkService svc(packable_options(8));
   Matrix a = random_matrix(16, 24, 9);
